@@ -123,16 +123,9 @@ Dataset::Dataset(Env* env, DatasetOptions options)
                                   : options_.merge_partition_min_bytes;
   mopts.io = env_->io();  // queue affinity for fanned-out maintenance tasks
   mopts.fault = options_.fault_injector;
-  auto scheduler = std::make_unique<MaintenanceScheduler>(mopts);
-  // threads == 1 keeps the serial code paths untouched (no scheduler) —
-  // unless decoupled merge scheduling needs the scheduler for its per-tree
-  // merge queues (the engine then still runs every task inline/serially;
-  // engine_parallel() keeps the serial code paths routed as before).
-  const bool decoupled_merges =
-      options_.merge_queue_depth > 0 && multi_writer();
-  if (scheduler->parallel() || decoupled_merges) {
-    maintenance_ = std::move(scheduler);
-  }
+  // Always present: at threads == 1 it runs every task inline and starts no
+  // thread, so the serial path is the same job list run in place.
+  maintenance_ = std::make_unique<MaintenanceScheduler>(mopts);
   // Multi-writer commits batch their modeled log syncs (group commit).
   if (multi_writer()) wal_.set_group_commit(true);
   // Thread the fault injector through the WAL seams (Env/cache/IO sites are
@@ -149,8 +142,9 @@ Dataset::Dataset(Env* env, DatasetOptions options)
     hist_cycle_wall_ = options_.metrics->histogram("maintenance.cycle_wall_ns");
     hist_flush_build_wall_ =
         options_.metrics->histogram("maintenance.flush_build_wall_ns");
-    hist_merge_job_wall_ =
-        options_.metrics->histogram("maintenance.merge_job_wall_ns");
+    hist_install_wall_ =
+        options_.metrics->histogram("maintenance.install_wall_ns");
+    hist_merge_wall_ = options_.metrics->histogram("maintenance.merge_wall_ns");
     ctr_cursor_open_ = options_.metrics->counter("query.cursors_opened");
     ctr_cursor_pull_ = options_.metrics->counter("query.pages_pulled");
     wal_.set_metrics(options_.metrics);
@@ -167,10 +161,6 @@ Dataset::Dataset(Env* env, DatasetOptions options)
     wal_.io()->set_tracer(tracer_.get());
     env_->io()->set_tracer(tracer_.get());  // detached in ~Dataset
   }
-}
-
-bool Dataset::engine_parallel() const {
-  return maintenance_ != nullptr && maintenance_->parallel();
 }
 
 Dataset::~Dataset() {
@@ -216,14 +206,11 @@ Status Dataset::JoinFlushCycle() {
 
 Status Dataset::WaitForMaintenance() {
   Status s = JoinFlushCycle();
-  if (maintenance_ != nullptr) {
-    // Decoupled merge scheduling: quiescing means the merge queues are empty
-    // too, and their sticky first error surfaces here (a no-op with empty
-    // queues, i.e. on every coupled configuration).
-    const Status merge = maintenance_->DrainMerges();
-    if (s.ok()) s = merge;
-  }
-  return s;
+  // Decoupled merge scheduling: quiescing means the merge queues are empty
+  // too, and their sticky first error surfaces here (a no-op with empty
+  // queues, i.e. on every coupled configuration).
+  const Status merge = maintenance_->DrainMerges();
+  return s.ok() ? merge : s;
 }
 
 Status Dataset::TakeBackgroundError() {
@@ -238,18 +225,44 @@ Status Dataset::TakeBackgroundError() {
       bg_status_ = Status::OK();
     }
   }
-  if (s.ok() && maintenance_ != nullptr) s = maintenance_->TakeMergeError();
+  if (s.ok()) s = maintenance_->TakeMergeError();
   // Degraded mode lifts only once no sticky error remains in either class —
   // taking the flush error while a merge error is still queued keeps ingest
   // fail-fast until that one is taken too.
   bool clear;
   {
     MutexLock l(bg_mu_);
-    clear = bg_status_.ok() &&
-            (maintenance_ == nullptr || !maintenance_->has_merge_error());
+    clear = bg_status_.ok() && !maintenance_->has_merge_error();
   }
   if (clear) degraded_.store(false, std::memory_order_release);
   return s;
+}
+
+void Dataset::RecordWall(obs::Histogram* h,
+                         std::chrono::steady_clock::time_point t0) {
+  if (h == nullptr) return;
+  h->Record(uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count()));
+}
+
+Status Dataset::RunStep(const char* site, const std::string& span,
+                        const std::string& what, obs::Histogram* hist,
+                        const std::function<Status()>& fn) {
+  obs::TraceSpan step_span(tracer_.get(), span.c_str(), "maintenance",
+                           int32_t(env_->io()->BoundQueue()));
+  const auto wall0 = std::chrono::steady_clock::now();
+  const Status s = RunWithRetry(what, [&]() -> Status {
+    AUXLSM_RETURN_NOT_OK(maintenance_->Failpoint(site));
+    return fn();
+  });
+  RecordWall(hist, wall0);
+  return s;
+}
+
+Status Dataset::MergeStep(const std::string& what,
+                          const std::function<Status()>& fn) {
+  return RunStep(failpoints::kMerge, what, what, hist_merge_wall_, fn);
 }
 
 Status Dataset::RunWithRetry(const std::string& what,
@@ -315,10 +328,8 @@ Status Dataset::DegradedError() {
     MutexLock l(bg_mu_);
     if (!bg_status_.ok()) return bg_status_;
   }
-  if (maintenance_ != nullptr) {
-    const Status s = maintenance_->merge_error();
-    if (!s.ok()) return s;
-  }
+  const Status merge = maintenance_->merge_error();
+  if (!merge.ok()) return merge;
   // The flag is set but both sticky slots already drained (a concurrent
   // taker raced us): report the state rather than inventing an error.
   return Status::Aborted("dataset degraded: maintenance failed");
@@ -393,12 +404,10 @@ Status Dataset::MaintainAsync(bool in_explicit_txn) {
 Status Dataset::MaintenanceCycle() {
   obs::TraceSpan cycle_span(tracer_.get(), "maintenance.cycle", "maintenance");
   const auto cycle_wall0 = std::chrono::steady_clock::now();
-  // Phase 1 — seal: a brief exclusive section swaps every tree's memtable;
-  // writers resume into fresh ones while the sealed set is built.
-  std::vector<std::pair<LsmTree*, std::shared_ptr<Memtable>>> sealed;
-  Lsn flush_lsn = kInvalidLsn;
+  // Seal under a brief exclusive section; writers resume into fresh
+  // memtables while the sealed set is built off-latch.
+  FlushRound round;
   {
-    obs::TraceSpan seal_span(tracer_.get(), "seal", "maintenance");
     WriteLatchGuard latch(ingest_mu_);
     if (MemComponentBytes() < options_.mem_budget_bytes) {
       return Status::OK();  // another path already resolved the overrun
@@ -410,224 +419,131 @@ Status Dataset::MaintenanceCycle() {
     // count is explicit ones; defer the cycle until they close (a later
     // ingest op re-triggers it).
     if (txns_.active_transactions() > 0) return Status::OK();
-    for (LsmTree* t : AllTrees()) {
-      t->SealMemtable();
-      // Collect every pending sealed memtable, not just the fresh one: a
-      // prior cycle abandoned by a build failure left its memtables sealed
-      // (recoverable, but uninstalled) — this is their re-flush path.
-      for (auto& m : t->PendingSealed()) sealed.emplace_back(t, m);
-    }
-    flush_lsn = wal_.tail_lsn();
+    round = SealAll();
   }
-  if (sealed.empty()) return Status::OK();
-
-  // Phase 2 — build the flushed components off-latch (fanned out on the
-  // maintenance engine when it is active; distinct trees, distinct files).
-  // Each build runs under the transient-retry policy; a failed build leaves
-  // its sealed memtable in place, so no data is lost (WAL + sealed state).
-  FaultInjector* const fault = options_.fault_injector;
-  std::vector<DiskComponentPtr> built(sealed.size());
-  auto build_one = [&](size_t i) -> Status {
-    const std::string& tree = sealed[i].first->options().name;
-    obs::TraceSpan build_span(tracer_.get(),
-                              ("flush_build(" + tree + ")").c_str(),
-                              "maintenance",
-                              int32_t(env_->io()->BoundQueue()));
-    const auto wall0 = std::chrono::steady_clock::now();
-    const Status s = RunWithRetry(
-        "flush(" + tree + ")", [&, i]() -> Status {
-          if (fault != nullptr) {
-            AUXLSM_RETURN_NOT_OK(
-                fault->Hit(failpoints::kFlushBuild, env_->io()));
-          }
-          AUXLSM_ASSIGN_OR_RETURN(
-              built[i], sealed[i].first->BuildFromSealed(sealed[i].second));
-          return Status::OK();
-        });
-    if (hist_flush_build_wall_ != nullptr) {
-      hist_flush_build_wall_->Record(uint64_t(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - wall0)
-              .count()));
-    }
-    return s;
-  };
-  if (engine_parallel()) {
-    std::vector<std::function<Status()>> tasks;
-    for (size_t i = 0; i < sealed.size(); i++) {
-      tasks.push_back([&build_one, i]() { return build_one(i); });
-    }
-    AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(tasks)));
-  } else {
-    for (size_t i = 0; i < sealed.size(); i++) {
-      // Inline build still spreads trees over device queues: modeled device
-      // concurrency does not require host concurrency (no-op on one queue).
-      IoQueueScope io_scope(env_->io(), uint32_t(i));
-      AUXLSM_RETURN_NOT_OK(build_one(i));
-    }
-  }
-
-  // Phase 3 — install under the latch: all trees' components appear
-  // atomically w.r.t. ingestion, preserving the positional alignment that
-  // correlated merges and bitmap sharing rely on. The install failpoint is
-  // consulted ONCE, before any tree installs — an injected install error is
-  // all-or-nothing (no tree installed), never a partial install that would
-  // break the positional alignment.
+  if (round.jobs.empty()) return Status::OK();
+  AUXLSM_RETURN_NOT_OK(BuildSealed(&round));
   {
-    obs::TraceSpan install_span(tracer_.get(), "install", "maintenance");
     WriteLatchGuard latch(ingest_mu_);
-    if (fault != nullptr) {
-      AUXLSM_RETURN_NOT_OK(RunWithRetry("install", [&]() -> Status {
-        return fault->Hit(failpoints::kInstall, env_->io());
-      }));
-    }
-    for (size_t i = 0; i < sealed.size(); i++) {
-      AUXLSM_RETURN_NOT_OK(
-          sealed[i].first->InstallFlushed(sealed[i].second, built[i]));
-      built[i]->set_max_lsn(flush_lsn);
-    }
-    if (options_.strategy == MaintenanceStrategy::kMutableBitmap) {
-      if (pk_index_) {
-        auto pcomps = primary_->Components();
-        auto kcomps = pk_index_->Components();
-        if (!pcomps.empty() && !kcomps.empty() &&
-            kcomps.front()->bitmap() == nullptr) {
-          kcomps.front()->set_bitmap(pcomps.front()->bitmap());
-        }
-      }
-      AUXLSM_RETURN_NOT_OK(FixupFlushedBitmap());
-    }
-    stats_.flushes++;
+    AUXLSM_RETURN_NOT_OK(InstallBuilt(&round));
   }
 
-  // Phase 4 — merges off-latch. Writers only mutate memtables (and, under
+  // Merges off-latch. Writers only mutate memtables (and, under
   // Mutable-bitmap, old components' bitmaps — which CorrelatedMerge routes
   // through the §5.3 concurrency-control machinery), so merges are safe
-  // against concurrent ingestion. Decoupled mode hands the work to the
+  // against concurrent ingestion. Decoupled mode hands the same jobs to the
   // per-tree merge queues instead, so this cycle — and with it the *next*
-  // seal/install — never waits on a merge backlog.
-  auto record_cycle_wall = [&]() {
-    if (hist_cycle_wall_ != nullptr) {
-      hist_cycle_wall_->Record(uint64_t(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - cycle_wall0)
-              .count()));
-    }
-  };
-  if (merge_queues_enabled()) {
-    // Every cycle enqueues its round unconditionally: a tree whose earlier
-    // jobs already retired would otherwise never see this cycle's installs
-    // (no re-enqueue path exists outside a flush cycle), leaving a quiesced
-    // dataset above its merge policy. Backlog stays bounded anyway: writers
-    // wait at merge_queue_depth before launching a cycle, and each of the
-    // at-most-writer_threads threads parked between that wait and the CAS
-    // can add one stale round — ≤ depth + writer_threads rounds total.
-    EnqueueMergeWork();
-    record_cycle_wall();
-    return Status::OK();
-  }
+  // seal/install — never waits on a merge backlog. Every cycle enqueues its
+  // round unconditionally: a tree whose earlier jobs already retired would
+  // otherwise never see this cycle's installs, leaving a quiesced dataset
+  // above its merge policy. Backlog stays bounded anyway: writers wait at
+  // merge_queue_depth before launching a cycle, and each of the
+  // at-most-writer_threads threads parked between that wait and the CAS can
+  // add one stale round — ≤ depth + writer_threads rounds total.
   Status s;
-  {
-    obs::TraceSpan merge_span(tracer_.get(), "merge", "maintenance");
-    s = RunMerges();
+  if (merge_queues_enabled()) {
+    EnqueueMergeRound();
+  } else {
+    s = RunMergeJobs();
   }
-  record_cycle_wall();
+  RecordWall(hist_cycle_wall_, cycle_wall0);
   return s;
 }
 
-void Dataset::EnqueueMergeWork() {
-  // One round = one job per serial merge stream: the whole dataset under
-  // correlated merges (every index merges in lock step with the anchor), one
-  // per tree otherwise. Jobs sharing a key run serially in FIFO order on the
-  // scheduler's merge queues, preserving the per-tree merge serialization
-  // invariant; redundant jobs (the tree's policy is already satisfied when
-  // they run) are cheap no-op policy checks, and the round count is exactly
-  // how many flush cycles the merge queues are running behind.
-  std::vector<MaintenanceScheduler::MergeJob> round;
-  auto add = [&](LsmTree* accounting_tree, MaintenanceScheduler::MergeKey key,
-                 std::function<Status()> work) {
-    accounting_tree->BeginQueuedMerge();
-    const std::string what =
-        "merge_job(" + accounting_tree->options().name + ")";
-    round.push_back(MaintenanceScheduler::MergeJob{
-        key, [this, accounting_tree, what, work = std::move(work)]() {
-          // Transient job failures retry in place on the queue (the work
-          // re-picks its merge inputs each run, so a retry sees the current
-          // component lists). This is the merge-round retry policy the
-          // decoupled scheduling PR deferred. EndQueuedMerge runs no matter
-          // what — a failed job must never leave the accounting wedged.
-          FaultInjector* const fault = options_.fault_injector;
-          Status s;
-          {
-            obs::TraceSpan job_span(tracer_.get(), what.c_str(), "merge",
-                                    int32_t(env_->io()->BoundQueue()));
-            const auto wall0 = std::chrono::steady_clock::now();
-            s = RunWithRetry(what, [&]() -> Status {
-              if (fault != nullptr) {
-                AUXLSM_RETURN_NOT_OK(
-                    fault->Hit(failpoints::kMergeJob, env_->io()));
-              }
-              return work();
-            });
-            if (hist_merge_job_wall_ != nullptr) {
-              hist_merge_job_wall_->Record(uint64_t(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - wall0)
-                      .count()));
-            }
-          }
-          accounting_tree->EndQueuedMerge();
-          // Flag-only degrade: the scheduler keeps the sticky error itself
-          // (storing a copy in bg_status_ would double-report it).
-          if (!s.ok()) MarkDegraded();
-          return s;
-        }});
+Dataset::FlushRound Dataset::SealAll() {
+  ingest_mu_.AssertHeld();
+  obs::TraceSpan seal_span(tracer_.get(), "seal", "maintenance");
+  FlushRound round;
+  uint32_t slot = 0;
+  auto collect = [&](LsmTree* t) {
+    const uint32_t my_slot = slot++;
+    if (t == nullptr) return;
+    t->SealMemtable();
+    // Every pending sealed memtable, not just the fresh one: a round
+    // abandoned by a build failure left its memtables sealed.
+    for (auto& m : t->PendingSealed()) {
+      round.jobs.push_back(FlushJob{t, m, my_slot, nullptr});
+    }
   };
-  if (options_.correlated_merges) {
-    LsmTree* anchor = pk_index_ ? pk_index_.get() : primary_.get();
-    add(anchor, anchor, [this]() { return CorrelatedMerge(/*decoupled=*/true); });
-    maintenance_->EnqueueMergeRound(std::move(round));
-    return;
+  collect(primary_.get());
+  collect(pk_index_.get());
+  for (auto& s : secondaries_) {
+    collect(s->tree.get());
+    collect(s->deleted_keys.get());
   }
-  add(primary_.get(), primary_.get(), [this]() {
-    uint64_t merges = 0;
-    const Status s = maintenance_->MergeToPolicy(primary_.get(), &merges);
-    stats_.merges += merges;
-    return s;
-  });
-  if (pk_index_ != nullptr) {
-    add(pk_index_.get(), pk_index_.get(), [this]() {
-      uint64_t merges = 0;
-      const Status s = maintenance_->MergeToPolicy(pk_index_.get(), &merges);
-      stats_.merges += merges;
-      return s;
-    });
-  }
-  for (auto& sp : secondaries_) {
-    SecondaryIndex* s = sp.get();
-    add(s->tree.get(), s->tree.get(), [this, s]() {
-      uint64_t merges = 0, repairs = 0;
-      const Status st =
-          SecondaryMergesToPolicy(s, &merges, &repairs, /*decoupled=*/true);
-      stats_.merges += merges;
-      stats_.repairs += repairs;
-      return st;
-    });
-  }
-  maintenance_->EnqueueMergeRound(std::move(round));
+  round.flush_lsn = wal_.tail_lsn();
+  return round;
 }
 
-Status Dataset::SecondaryMergesToPolicy(SecondaryIndex* s, uint64_t* merges,
-                                        uint64_t* repairs, bool decoupled) {
-  if (options_.strategy == MaintenanceStrategy::kValidation &&
-      options_.merge_repair) {
-    return MergeRepairToPolicy(s, merges, repairs);
+Status Dataset::BuildSealed(FlushRound* round) {
+  // Distinct trees, distinct files: the builds fan out. A failure leaves
+  // every tree uninstalled and its sealed memtables intact, never some trees
+  // flushed and others not.
+  std::vector<std::function<Status()>> tasks;
+  for (FlushJob& j : round->jobs) {
+    tasks.push_back([this, &j]() {
+      IoQueueScope io_scope(env_->io(), j.slot);
+      const std::string& tree = j.tree->options().name;
+      return RunStep(failpoints::kFlushBuild, "flush_build(" + tree + ")",
+                     "flush(" + tree + ")", hist_flush_build_wall_,
+                     [&]() -> Status {
+                       AUXLSM_ASSIGN_OR_RETURN(j.built,
+                                               j.tree->BuildFromSealed(j.mem));
+                       return Status::OK();
+                     });
+    });
   }
-  if (options_.strategy == MaintenanceStrategy::kDeletedKeyBtree) {
-    return DeletedKeyMergesToPolicy(s, merges, decoupled);
+  const Status s = maintenance_->RunAll(std::move(tasks));
+  if (!s.ok()) DiscardUninstalled(round);
+  return s;
+}
+
+void Dataset::DiscardUninstalled(FlushRound* round) {
+  // The memtables stay sealed and the next round rebuilds them, so a build
+  // that will never be installed only holds disk pages: delete its file.
+  for (FlushJob& j : round->jobs) {
+    if (j.built != nullptr && !j.installed) j.built->MarkRetired();
   }
-  AUXLSM_RETURN_NOT_OK(maintenance_->MergeToPolicy(s->tree.get(), merges));
-  return maintenance_->MergeToPolicy(s->deleted_keys.get(), merges);
+}
+
+Status Dataset::InstallBuilt(FlushRound* round) {
+  ingest_mu_.AssertHeld();
+  if (!round->jobs.empty()) {
+    // The failpoint runs before any tree installs: an injected install
+    // error is all-or-nothing, never a partial install that would break
+    // the positional alignment.
+    const Status s = RunStep(
+        failpoints::kInstall, "install", "install", hist_install_wall_,
+        [&]() -> Status {
+          ingest_mu_.AssertHeld();  // the step runs inline on this thread
+          std::vector<DiskComponentPtr> pbuilt, kbuilt;
+          for (FlushJob& j : round->jobs) {
+            if (!j.installed) {
+              AUXLSM_RETURN_NOT_OK(j.tree->InstallFlushed(j.mem, j.built));
+              j.built->set_max_lsn(round->flush_lsn);
+              j.installed = true;
+            }
+            if (j.tree == primary_.get()) pbuilt.push_back(j.built);
+            if (j.tree == pk_index_.get()) kbuilt.push_back(j.built);
+          }
+          if (options_.strategy != MaintenanceStrategy::kMutableBitmap) {
+            return Status::OK();
+          }
+          // The primary and pk index flush the same memtable generations
+          // (every write touches both), so their builds pair up in order;
+          // each pair shares one validity bitmap (§5.1).
+          for (size_t i = 0; i < pbuilt.size() && i < kbuilt.size(); i++) {
+            kbuilt[i]->set_bitmap(pbuilt[i]->bitmap());
+          }
+          return FixupFlushedBitmap(pbuilt);
+        });
+    if (!s.ok()) {
+      DiscardUninstalled(round);
+      return s;
+    }
+  }
+  stats_.flushes++;
+  return Status::OK();
 }
 
 void Dataset::RecordBitmapFixup(const std::string& pk, Timestamp ts) {
@@ -635,7 +551,8 @@ void Dataset::RecordBitmapFixup(const std::string& pk, Timestamp ts) {
   pending_bitmap_fixups_.emplace_back(pk, ts);
 }
 
-Status Dataset::FixupFlushedBitmap() {
+Status Dataset::FixupFlushedBitmap(
+    const std::vector<DiskComponentPtr>& flushed) {
   ingest_mu_.AssertHeld();
   // Deletes/upserts whose old version sat in a *sealed* memtable left only
   // anti-matter (or a newer version) in the active memtable; the flushed
@@ -644,44 +561,42 @@ Status Dataset::FixupFlushedBitmap() {
   // otherwise the §5 no-reconciliation scans would resurrect them.
   //
   // The superseding writes were recorded as they happened (the write found
-  // its old version in a sealed memtable — precisely the entries the flushed
-  // component now carries as valid), so only they pay a B-tree probe here,
-  // not every entry of the active memtable. Keys whose old version was on
-  // disk had their bit flipped directly at write time, and fresh inserts
-  // cannot supersede a live sealed entry (the uniqueness check rejects
-  // them), so nothing else can need a mark.
+  // its old version in a sealed memtable — precisely the entries this
+  // round's components now carry as valid), so only they pay B-tree probes
+  // here. Keys whose old version was on disk had their bit flipped directly
+  // at write time, and fresh inserts cannot supersede a live sealed entry
+  // (the uniqueness check rejects them), so nothing else can need a mark.
+  // A round may flush several generations (a failed build left one
+  // behind), so every flushed component is probed; the superseding version
+  // itself (ts >= the record's) is never marked.
   std::vector<std::pair<std::string, Timestamp>> pending;
   {
     MutexLock l(fixup_mu_);
     pending.swap(pending_bitmap_fixups_);
   }
-  if (pending.empty()) return Status::OK();
-  auto pcomps = primary_->Components();
-  if (pcomps.empty()) return Status::OK();
-  const DiskComponentPtr& front = pcomps.front();
-  if (front->bitmap() == nullptr) return Status::OK();
   for (size_t i = 0; i < pending.size(); i++) {
     const auto& [key, ts] = pending[i];
-    LeafEntry entry;
-    std::string backing;
-    uint64_t ordinal = 0;
-    Status st = front->tree().GetWithOrdinal(key, &entry, &backing,
-                                             &ordinal);
-    if (st.IsNotFound()) continue;
-    if (!st.ok()) {
-      // Re-stash the unprocessed marks (current one included — Set is
-      // idempotent): a retried cycle must not lose supersessions, or the §5
-      // scans would resurrect the dead entries.
-      MutexLock l(fixup_mu_);
-      pending_bitmap_fixups_.insert(pending_bitmap_fixups_.begin(),
-                                    pending.begin() + i, pending.end());
-      return st.WithContext("bitmap fixup");
-    }
-    if (!entry.antimatter && entry.ts < ts) {
-      front->bitmap()->Set(ordinal);
-      // The bit flip changed the visible outcome for this pk outside the
-      // write path's own invalidation window; cut the cache again.
-      if (tuple_cache_) tuple_cache_->InvalidatePk(key);
+    for (const DiskComponentPtr& c : flushed) {
+      if (c->bitmap() == nullptr) continue;
+      LeafEntry entry;
+      std::string backing;
+      uint64_t ordinal = 0;
+      Status st = c->tree().GetWithOrdinal(key, &entry, &backing, &ordinal);
+      if (st.IsNotFound()) continue;
+      if (!st.ok()) {
+        // Re-stash the unprocessed marks (current one included — Set is
+        // idempotent): a retried install must not lose supersessions.
+        MutexLock l(fixup_mu_);
+        pending_bitmap_fixups_.insert(pending_bitmap_fixups_.begin(),
+                                      pending.begin() + i, pending.end());
+        return st.WithContext("bitmap fixup");
+      }
+      if (!entry.antimatter && entry.ts < ts) {
+        c->bitmap()->Set(ordinal);
+        // The bit flip changed the visible outcome for this pk outside the
+        // write path's own invalidation window; cut the cache again.
+        if (tuple_cache_) tuple_cache_->InvalidatePk(key);
+      }
     }
   }
   return Status::OK();
@@ -694,142 +609,105 @@ Status Dataset::FlushAll() {
 }
 
 Status Dataset::FlushAllLocked() {
-  ingest_mu_.AssertHeld();
-  const Lsn flush_lsn = wal_.tail_lsn();
-  FaultInjector* const fault = options_.fault_injector;
-  // Phase 1 — seal every tree (the caller holds the exclusive latch). The
-  // slot number preserves the legacy per-tree device-queue binding (one slot
-  // per enumerated tree position, occupied or not), so multi-queue simulated
-  // charges are bit-for-bit the pre-restructure costs.
-  struct PendingFlush {
-    LsmTree* tree;
-    std::shared_ptr<Memtable> mem;
-    uint32_t slot;
+  FlushRound round = SealAll();
+  AUXLSM_RETURN_NOT_OK(BuildSealed(&round));
+  return InstallBuilt(&round);
+}
+
+std::vector<MaintenanceScheduler::MergeJob> Dataset::MergeJobs() {
+  // One job per serial merge stream: the whole dataset under correlated
+  // merges (every index merges in lock step with the anchor), one per tree
+  // otherwise. Jobs re-derive their picks from the live policy when they
+  // run, so a redundant job is a cheap no-op policy check.
+  std::vector<MaintenanceScheduler::MergeJob> jobs;
+  auto add = [&](LsmTree* tree, std::function<Status()> work) {
+    tree->BeginQueuedMerge();
+    jobs.push_back(MaintenanceScheduler::MergeJob{
+        tree, [tree, work = std::move(work)]() {
+          const Status s = work();
+          tree->EndQueuedMerge();
+          return s;
+        }});
   };
-  std::vector<PendingFlush> sealed;
-  {
-    obs::TraceSpan seal_span(tracer_.get(), "seal", "maintenance");
-    uint32_t slot = 0;
-    auto collect = [&](LsmTree* t) {
-      const uint32_t my_slot = slot++;
-      if (t == nullptr) return;
-      t->SealMemtable();
-      for (auto& m : t->PendingSealed()) {
-        sealed.push_back(PendingFlush{t, m, my_slot});
+  if (options_.correlated_merges) {
+    add(pk_index_ ? pk_index_.get() : primary_.get(),
+        [this]() { return CorrelatedMerge(); });
+    return jobs;
+  }
+  add(primary_.get(), [this]() { return MergeToPolicy(primary_.get()); });
+  if (pk_index_ != nullptr) {
+    add(pk_index_.get(), [this]() { return MergeToPolicy(pk_index_.get()); });
+  }
+  for (auto& sp : secondaries_) {
+    SecondaryIndex* s = sp.get();
+    add(s->tree.get(), [this, s]() {
+      if (options_.strategy == MaintenanceStrategy::kValidation &&
+          options_.merge_repair) {
+        return MergeRepairToPolicy(s);
       }
+      if (options_.strategy == MaintenanceStrategy::kDeletedKeyBtree) {
+        return DeletedKeyMergesToPolicy(s);
+      }
+      return MergeToPolicy(s->tree.get());
+    });
+  }
+  return jobs;
+}
+
+Status Dataset::RunMergeJobs() {
+  obs::TraceSpan merge_span(tracer_.get(), "merge", "maintenance");
+  std::vector<std::function<Status()>> tasks;
+  for (auto& job : MergeJobs()) tasks.push_back(std::move(job.work));
+  return maintenance_->RunAll(std::move(tasks));
+}
+
+void Dataset::EnqueueMergeRound() {
+  std::vector<MaintenanceScheduler::MergeJob> jobs = MergeJobs();
+  for (auto& job : jobs) {
+    // Flag-only degrade: the scheduler keeps the sticky error itself
+    // (storing a copy in bg_status_ would double-report it).
+    job.work = [this, work = std::move(job.work)]() {
+      const Status s = work();
+      if (!s.ok()) MarkDegraded();
+      return s;
     };
-    collect(primary_.get());
-    collect(pk_index_.get());
-    for (auto& s : secondaries_) {
-      collect(s->tree.get());
-      collect(s->deleted_keys.get());
-    }
   }
+  maintenance_->EnqueueMergeRound(std::move(jobs));
+}
 
-  // Phase 2 — build all components, then install all (phase 3): a build
-  // failure (injected or real) leaves every tree uninstalled and its sealed
-  // memtables intact, instead of some trees flushed and others not — the
-  // partial state that breaks the positional alignment correlated merges
-  // and bitmap sharing rely on. Builds run under the transient-retry policy.
-  std::vector<DiskComponentPtr> built(sealed.size());
-  auto build_one = [&](size_t i) -> Status {
-    const std::string& tree = sealed[i].tree->options().name;
-    obs::TraceSpan build_span(tracer_.get(),
-                              ("flush_build(" + tree + ")").c_str(),
-                              "maintenance",
-                              int32_t(env_->io()->BoundQueue()));
-    const auto wall0 = std::chrono::steady_clock::now();
-    const Status s = RunWithRetry(
-        "flush(" + tree + ")", [&, i]() -> Status {
-          if (fault != nullptr) {
-            AUXLSM_RETURN_NOT_OK(
-                fault->Hit(failpoints::kFlushBuild, env_->io()));
-          }
-          AUXLSM_ASSIGN_OR_RETURN(built[i],
-                                  sealed[i].tree->BuildFromSealed(
-                                      sealed[i].mem));
-          return Status::OK();
-        });
-    if (hist_flush_build_wall_ != nullptr) {
-      hist_flush_build_wall_->Record(uint64_t(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - wall0)
-              .count()));
-    }
-    return s;
-  };
-  if (engine_parallel()) {
-    // All indexes flush together (shared budget); their builds write to
-    // distinct trees and files, so they run concurrently on the pool.
-    std::vector<std::function<Status()>> tasks;
-    for (size_t i = 0; i < sealed.size(); i++) {
-      tasks.push_back([&build_one, i]() { return build_one(i); });
-    }
-    AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(tasks)));
-  } else {
-    // Serial path: builds run inline, but each tree still charges its own
-    // device queue so multi-queue profiles overlap them in simulated time
-    // (queue 0 for every tree on a single-queue device — the legacy costs).
-    for (size_t i = 0; i < sealed.size(); i++) {
-      IoQueueScope io_scope(env_->io(), sealed[i].slot);
-      AUXLSM_RETURN_NOT_OK(build_one(i));
-    }
+Status Dataset::MergeToPolicy(LsmTree* tree) {
+  std::vector<DiskComponentPtr> picked;
+  while (tree->PickMergeCandidates(&picked)) {
+    AUXLSM_RETURN_NOT_OK(
+        MergeStep("merge(" + tree->options().name + ")", [&]() {
+          return maintenance_->MergeComponents(tree, picked);
+        }));
+    stats_.merges++;
   }
-
-  // Phase 3 — install everything. The install failpoint is consulted once,
-  // before any tree installs (all-or-nothing, as in MaintenanceCycle).
-  obs::TraceSpan install_span(tracer_.get(), "install", "maintenance");
-  if (fault != nullptr && !sealed.empty()) {
-    AUXLSM_RETURN_NOT_OK(RunWithRetry("install", [&]() -> Status {
-      return fault->Hit(failpoints::kInstall, env_->io());
-    }));
-  }
-  for (size_t i = 0; i < sealed.size(); i++) {
-    AUXLSM_RETURN_NOT_OK(sealed[i].tree->InstallFlushed(sealed[i].mem,
-                                                        built[i]));
-    built[i]->set_max_lsn(flush_lsn);
-  }
-  // A direct FlushAll flushed active and sealed memtables together, so any
-  // recorded seal-window supersessions now coexist with their newer versions
-  // as separate components reconciled by recency — exactly the pre-side-list
-  // behavior of this path. Drop the stale records (they could only ever
-  // no-op against later components, but each would waste a B-tree probe).
-  if (options_.strategy == MaintenanceStrategy::kMutableBitmap) {
-    MutexLock fl(fixup_mu_);
-    pending_bitmap_fixups_.clear();
-  }
-  // Under the Mutable-bitmap strategy the primary and primary key index are
-  // synchronized and share one validity bitmap per component (§5.1).
-  if (options_.strategy == MaintenanceStrategy::kMutableBitmap && pk_index_) {
-    auto pcomps = primary_->Components();
-    auto kcomps = pk_index_->Components();
-    if (!pcomps.empty() && !kcomps.empty() &&
-        kcomps.front()->bitmap() == nullptr) {
-      kcomps.front()->set_bitmap(pcomps.front()->bitmap());
-    }
-  }
-  stats_.flushes++;
   return Status::OK();
 }
 
-Status Dataset::MergeRepairToPolicy(SecondaryIndex* index, uint64_t* merges,
-                                    uint64_t* repairs) {
+Status Dataset::MergeRepairToPolicy(SecondaryIndex* index) {
   // Merge repair replaces the plain merge for secondary indexes (§4.4). The
   // tree's own policy is the same tiering policy the options describe.
-  FaultInjector* const fault = options_.fault_injector;
   std::vector<DiskComponentPtr> picked;
   while (index->tree->PickMergeCandidates(&picked)) {
-    AUXLSM_RETURN_NOT_OK(RunWithRetry(
-        "repair(" + index->def.name + ")", [&]() -> Status {
-          if (fault != nullptr) {
-            AUXLSM_RETURN_NOT_OK(fault->Hit(failpoints::kMerge, env_->io()));
-          }
-          return RunMergeRepair(this, index, picked);
-        }));
-    (*merges)++;
-    (*repairs)++;
+    AUXLSM_RETURN_NOT_OK(MergeStep("repair(" + index->def.name + ")", [&]() {
+      return RunMergeRepair(this, index, picked);
+    }));
+    stats_.merges++;
+    stats_.repairs++;
   }
   return Status::OK();
+}
+
+Status Dataset::CaptureAligned(const std::function<Status()>& capture) {
+  // The lambda carries no capability assumptions of its own — the component
+  // lists are internally synchronized; the latch only freezes the
+  // positional alignment between the reads.
+  if (!multi_writer()) return capture();
+  ReadLatchGuard pick_latch(ingest_mu_);
+  return capture();
 }
 
 MergeRange Dataset::PickTieringRange(
@@ -853,139 +731,41 @@ std::vector<DiskComponentPtr> SliceRange(
 
 }  // namespace
 
-Status Dataset::DeletedKeyMergesToPolicy(SecondaryIndex* index,
-                                         uint64_t* merges, bool decoupled) {
+Status Dataset::DeletedKeyMergesToPolicy(SecondaryIndex* index) {
   while (true) {
-    // Pick and capture the index slice and its lock-step deleted-keys slice
-    // in one consistent view: as a merge-queue job (`decoupled`), flush
-    // installs run concurrently and would shift positions between the two
-    // reads, so the pick holds the ingest latch shared (see CorrelatedMerge).
+    // The index slice and its lock-step deleted-keys slice come from one
+    // consistent view.
     MergeRange r;
     std::vector<DiskComponentPtr> picked, dk_picked;
-    // The guard scope depends on `decoupled`, which one scoped guard cannot
-    // express; the capture is hoisted into a lambda run under the latch or
-    // bare. The lambda carries no capability assumptions of its own — the
-    // component lists are internally synchronized, the latch only freezes
-    // the positional alignment between the two reads.
-    auto capture = [&]() {
+    AUXLSM_RETURN_NOT_OK(CaptureAligned([&]() {
       auto comps = index->tree->Components();
       r = PickTieringRange(comps);
-      if (r.empty() || r.count() < 2) return;
+      if (r.empty() || r.count() < 2) return Status::OK();
       picked = SliceRange(comps, r);
       auto dk = index->deleted_keys->Components();
       if (dk.size() >= r.end) dk_picked = SliceRange(dk, r);
-    };
-    if (decoupled) {
-      ReadLatchGuard pick_latch(ingest_mu_);
-      capture();
-    } else {
-      capture();
-    }
+      return Status::OK();
+    }));
     if (r.empty() || r.count() < 2) break;
-    FaultInjector* const fault = options_.fault_injector;
-    AUXLSM_RETURN_NOT_OK(RunWithRetry(
-        "merge(" + index->def.name + ".deleted)", [&]() -> Status {
-          if (fault != nullptr) {
-            AUXLSM_RETURN_NOT_OK(fault->Hit(failpoints::kMerge, env_->io()));
-          }
+    AUXLSM_RETURN_NOT_OK(
+        MergeStep("merge(" + index->def.name + ".deleted)", [&]() {
           return RunDeletedKeyMergePicked(this, index, picked, dk_picked);
         }));
-    (*merges)++;
+    stats_.merges++;
   }
   return Status::OK();
 }
 
-Status Dataset::RunMerges() {
-  if (options_.correlated_merges) return CorrelatedMerge();
-  if (engine_parallel()) return ParallelMerges();
-  FaultInjector* const fault = options_.fault_injector;
-  auto merge_tree = [&](LsmTree* t) -> Status {
-    if (t == nullptr) return Status::OK();
-    // The serial path bypasses the scheduler (whose MergeComponents carries
-    // the merge failpoint), so the site is consulted here; transient
-    // failures retry the tree's merge loop from the current component set.
-    return RunWithRetry(
-        "merge(" + t->options().name + ")", [&, t]() -> Status {
-          bool merged = true;
-          while (merged) {
-            if (fault != nullptr) {
-              AUXLSM_RETURN_NOT_OK(fault->Hit(failpoints::kMerge,
-                                              env_->io()));
-            }
-            AUXLSM_RETURN_NOT_OK(t->TryMerge(&merged));
-            if (merged) stats_.merges++;
-          }
-          return Status::OK();
-        });
-  };
-  AUXLSM_RETURN_NOT_OK(merge_tree(primary_.get()));
-  AUXLSM_RETURN_NOT_OK(merge_tree(pk_index_.get()));
-  for (auto& s : secondaries_) {
-    if (options_.strategy == MaintenanceStrategy::kValidation &&
-        options_.merge_repair) {
-      uint64_t merges = 0, repairs = 0;
-      AUXLSM_RETURN_NOT_OK(MergeRepairToPolicy(s.get(), &merges, &repairs));
-      stats_.merges += merges;
-      stats_.repairs += repairs;
-    } else if (options_.strategy == MaintenanceStrategy::kDeletedKeyBtree) {
-      uint64_t merges = 0;
-      AUXLSM_RETURN_NOT_OK(DeletedKeyMergesToPolicy(s.get(), &merges));
-      stats_.merges += merges;
-    } else {
-      AUXLSM_RETURN_NOT_OK(merge_tree(s->tree.get()));
-      AUXLSM_RETURN_NOT_OK(merge_tree(s->deleted_keys.get()));
-    }
-  }
-  return Status::OK();
-}
-
-Status Dataset::ParallelMerges() {
-  // One task per tree: independent trees merge concurrently while each
-  // tree's own merges stay serialized inside its task (the engine's
-  // per-tree serialization rule). Secondary repair/deleted-key merges read
-  // the primary-key index concurrently with its own merge — safe because
-  // readers work on component snapshots and ReplaceComponents swaps
-  // atomically. IngestStats is only updated after the join.
-  std::vector<std::function<Status()>> tasks;
-  std::vector<uint64_t> merge_counts(2 + secondaries_.size(), 0);
-  std::vector<uint64_t> repair_counts(secondaries_.size(), 0);
-
-  tasks.push_back([this, c = &merge_counts[0]]() {
-    return maintenance_->MergeToPolicy(primary_.get(), c);
-  });
-  if (pk_index_ != nullptr) {
-    tasks.push_back([this, c = &merge_counts[1]]() {
-      return maintenance_->MergeToPolicy(pk_index_.get(), c);
-    });
-  }
-  for (size_t i = 0; i < secondaries_.size(); i++) {
-    SecondaryIndex* s = secondaries_[i].get();
-    uint64_t* mc = &merge_counts[2 + i];
-    uint64_t* rc = &repair_counts[i];
-    tasks.push_back([this, s, mc, rc]() {
-      return SecondaryMergesToPolicy(s, mc, rc, /*decoupled=*/false);
-    });
-  }
-  AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(tasks)));
-  for (uint64_t c : merge_counts) stats_.merges += c;
-  for (uint64_t c : repair_counts) stats_.repairs += c;
-  return Status::OK();
-}
-
-Status Dataset::CorrelatedMerge(bool decoupled) {
+Status Dataset::CorrelatedMerge() {
   // The correlated merge policy (§4.4) keeps all of a dataset's indexes
   // merging in lock step with the primary key index: all indexes flush
   // together, so their newest-first component lists are positionally aligned
   // and one pick applies to every index.
   LsmTree* anchor = pk_index_ ? pk_index_.get() : primary_.get();
+  const bool mb = options_.strategy == MaintenanceStrategy::kMutableBitmap;
   while (true) {
     // Pick the round's range and capture every tree's input slice in one
-    // consistent view. As a merge-queue job (`decoupled`), flush installs
-    // run concurrently and would shift positional indexes between reads of
-    // different trees' lists, so the pick holds the ingest latch *shared* —
-    // installs hold it exclusively, writers are unaffected. The merges below
-    // install by identity (ReplaceComponents), which tolerates components
-    // prepended after the capture.
+    // consistent view.
     MergeRange r;
     std::vector<DiskComponentPtr> p_picked, k_picked;
     struct SecPick {
@@ -993,9 +773,7 @@ Status Dataset::CorrelatedMerge(bool decoupled) {
       std::vector<DiskComponentPtr> deleted;
     };
     std::vector<SecPick> spicked(secondaries_.size());
-    // Conditional latch scope, hoisted into a lambda exactly as in
-    // DeletedKeyMergesToPolicy above.
-    auto capture = [&]() -> Status {
+    AUXLSM_RETURN_NOT_OK(CaptureAligned([&]() -> Status {
       auto comps = anchor->Components();
       r = PickTieringRange(comps);
       if (r.empty() || r.count() < 2) return Status::OK();
@@ -1028,41 +806,20 @@ Status Dataset::CorrelatedMerge(bool decoupled) {
         }
       }
       return Status::OK();
-    };
-    if (decoupled) {
-      ReadLatchGuard pick_latch(ingest_mu_);
-      AUXLSM_RETURN_NOT_OK(capture());
-    } else {
-      AUXLSM_RETURN_NOT_OK(capture());
-    }
+    }));
     if (r.empty() || r.count() < 2) break;
 
-    // Merge of one tree's captured slice; routed through the maintenance
-    // engine (which may partition large merges) when it is active. A merge
-    // fails before any component is replaced, so transient failures retry
-    // against the same captured slice.
-    FaultInjector* const fault = options_.fault_injector;
-    auto merge_picked =
-        [this, fault](LsmTree* t,
-                      const std::vector<DiskComponentPtr>& picked) -> Status {
-      return RunWithRetry(
-          "merge(" + t->options().name + ")", [&]() -> Status {
-            if (maintenance_ != nullptr) {
-              return maintenance_->MergeComponents(t, picked);
-            }
-            if (fault != nullptr) {
-              AUXLSM_RETURN_NOT_OK(fault->Hit(failpoints::kMerge,
-                                              env_->io()));
-            }
-            return t->MergeComponents(picked);
-          });
+    // A merge fails before any component is replaced, so a retried step
+    // merges the same captured slice.
+    auto merge_picked = [this](LsmTree* t,
+                               const std::vector<DiskComponentPtr>& picked) {
+      return MergeStep("merge(" + t->options().name + ")", [&]() {
+        return maintenance_->MergeComponents(t, picked);
+      });
     };
 
-    // Phase 1: primary and primary key index merge (concurrently when the
-    // engine is active) — their post-merge components must exist before the
-    // bitmap re-share and before secondary repair validates against them.
-    if (multi_writer() &&
-        options_.strategy == MaintenanceStrategy::kMutableBitmap) {
+    // Phase 1: primary and primary key index.
+    if (multi_writer() && mb) {
       // Background merge concurrent with live writers: writers flip bits in
       // the very components being merged, so the merge must run under a
       // §5.3 concurrency-control method. ConcurrentMerge builds the
@@ -1070,39 +827,25 @@ Status Dataset::CorrelatedMerge(bool decoupled) {
       // needed. kNone has no writer coordination — stop the world instead
       // (the Fig 23 baseline semantics).
       ConcurrentMergeStats cstats;
-      if (options_.build_cc == BuildCcMethod::kNone) {
-        WriteLatchGuard latch(ingest_mu_);
-        AUXLSM_RETURN_NOT_OK(
-            RunWithRetry("merge(concurrent)", [&]() -> Status {
-              return ConcurrentMergePicked(this, p_picked, k_picked,
-                                           BuildCcMethod::kNone, &cstats,
-                                           /*dataset_latched=*/true);
-            }));
-      } else {
-        AUXLSM_RETURN_NOT_OK(
-            RunWithRetry("merge(concurrent)", [&]() -> Status {
-              return ConcurrentMergePicked(this, p_picked, k_picked,
-                                           options_.build_cc, &cstats);
-            }));
-      }
-    } else {
-      if (engine_parallel() && pk_index_ != nullptr) {
-        std::vector<std::function<Status()>> tasks;
-        tasks.push_back([&merge_picked, this, &p_picked]() {
-          return merge_picked(primary_.get(), p_picked);
-        });
-        tasks.push_back([&merge_picked, this, &k_picked]() {
-          return merge_picked(pk_index_.get(), k_picked);
-        });
-        AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(tasks)));
-      } else {
-        AUXLSM_RETURN_NOT_OK(merge_picked(primary_.get(), p_picked));
-        if (pk_index_) {
-          AUXLSM_RETURN_NOT_OK(merge_picked(pk_index_.get(), k_picked));
+      AUXLSM_RETURN_NOT_OK(MergeStep("merge(concurrent)", [&]() -> Status {
+        if (options_.build_cc != BuildCcMethod::kNone) {
+          return ConcurrentMergePicked(this, p_picked, k_picked,
+                                       options_.build_cc, &cstats);
         }
+        WriteLatchGuard latch(ingest_mu_);
+        return ConcurrentMergePicked(this, p_picked, k_picked,
+                                     BuildCcMethod::kNone, &cstats,
+                                     /*dataset_latched=*/true);
+      }));
+    } else {
+      std::vector<std::function<Status()>> tasks;
+      tasks.push_back([&]() { return merge_picked(primary_.get(), p_picked); });
+      if (pk_index_ != nullptr) {
+        tasks.push_back(
+            [&]() { return merge_picked(pk_index_.get(), k_picked); });
       }
-      if (options_.strategy == MaintenanceStrategy::kMutableBitmap &&
-          pk_index_) {
+      AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(tasks)));
+      if (mb && pk_index_ != nullptr) {
         // Re-share the merged components' bitmap. Positional refetch is safe
         // here: this branch never runs concurrently with installs (the
         // Mutable-bitmap multi-writer path goes through ConcurrentMerge
@@ -1114,46 +857,30 @@ Status Dataset::CorrelatedMerge(bool decoupled) {
         }
       }
     }
-    // Phase 2: secondary indexes, one task per index.
-    uint64_t round_repairs = 0;
-    std::vector<std::function<Status()>> stasks;
-    std::vector<uint64_t> srepairs(secondaries_.size(), 0);
+    // Phase 2: the secondary indexes, one task per index.
+    std::vector<std::function<Status()>> tasks;
     for (size_t i = 0; i < secondaries_.size(); i++) {
       SecondaryIndex* s = secondaries_[i].get();
-      if (spicked[i].tree.empty()) continue;
-      std::function<Status()> work;
+      const SecPick& pick = spicked[i];
+      if (pick.tree.empty()) continue;
       if (options_.strategy == MaintenanceStrategy::kValidation &&
           options_.merge_repair) {
-        uint64_t* rc = &srepairs[i];
-        work = [this, s, picked = spicked[i].tree, rc]() -> Status {
-          AUXLSM_RETURN_NOT_OK(
-              RunWithRetry("repair(" + s->def.name + ")", [&]() -> Status {
-                return RunMergeRepair(this, s, picked);
-              }));
-          (*rc)++;
+        tasks.push_back([this, s, &pick]() -> Status {
+          AUXLSM_RETURN_NOT_OK(MergeStep("repair(" + s->def.name + ")", [&]() {
+            return RunMergeRepair(this, s, pick.tree);
+          }));
+          stats_.repairs++;
           return Status::OK();
-        };
+        });
       } else {
-        work = [&merge_picked, s, tpicked = spicked[i].tree,
-                dpicked = spicked[i].deleted]() -> Status {
-          AUXLSM_RETURN_NOT_OK(merge_picked(s->tree.get(), tpicked));
-          if (!dpicked.empty()) {
-            AUXLSM_RETURN_NOT_OK(merge_picked(s->deleted_keys.get(), dpicked));
-          }
-          return Status::OK();
-        };
-      }
-      if (engine_parallel()) {
-        stasks.push_back(std::move(work));
-      } else {
-        AUXLSM_RETURN_NOT_OK(work());
+        tasks.push_back([&merge_picked, s, &pick]() -> Status {
+          AUXLSM_RETURN_NOT_OK(merge_picked(s->tree.get(), pick.tree));
+          if (pick.deleted.empty()) return Status::OK();
+          return merge_picked(s->deleted_keys.get(), pick.deleted);
+        });
       }
     }
-    if (!stasks.empty()) {
-      AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(stasks)));
-    }
-    for (uint64_t c : srepairs) round_repairs += c;
-    stats_.repairs += round_repairs;
+    AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(tasks)));
     stats_.merges++;
   }
   return Status::OK();

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string_view>
 #include <thread>
@@ -36,6 +37,7 @@
 #include "core/query_cursor.h"
 #include "fault/fault_injector.h"
 #include "core/read_query.h"
+#include "exec/maintenance.h"
 #include "format/record.h"
 #include "lsm/lsm_tree.h"
 #include "obs/metrics.h"
@@ -115,8 +117,9 @@ struct DatasetOptions {
 
   // --- Maintenance engine (exec/maintenance.h) ------------------------------
   /// Threads used to run the indexes' flushes and merges concurrently.
-  /// 0 = one per hardware thread; 1 = the legacy serial path (identical
-  /// behavior to builds without the engine).
+  /// 0 = one per hardware thread; 1 = every maintenance task runs inline on
+  /// the calling thread, no pool thread is started (modeled costs identical
+  /// to the seed's serial path).
   size_t maintenance_threads = 0;
   /// Merges of at least this many input bytes are additionally split into
   /// key-range partitions scanned in parallel (0 disables partitioning).
@@ -165,8 +168,8 @@ struct DatasetOptions {
   /// so the Env/cache/IO sites and the maintenance sites fire consistently.
   /// Null (default) disables injection entirely (a pure branch per site).
   FaultInjector* fault_injector = nullptr;
-  /// Transient-failure retry budget for maintenance steps (flush builds,
-  /// installs, merges, merge-queue jobs): a step failing with a retryable
+  /// Transient-failure retry budget for maintenance steps (one flush build,
+  /// one install, one merge of one pick): a step failing with a retryable
   /// Status (Status::retryable(): IOError / Busy) is re-run up to this many
   /// times before the round is abandoned. 0 = fail fast on first error.
   /// Permanent errors (Corruption, Aborted, ...) never retry.
@@ -197,10 +200,10 @@ struct DatasetOptions {
   obs::MetricsRegistry* metrics = nullptr;
   /// Per-thread trace ring-buffer size (obs/trace.h). 0 (default) = no
   /// tracer. > 0 creates a Dataset-owned Tracer recording RAII spans for
-  /// ingest ops, maintenance cycle steps (seal/flush_build/install/merge),
-  /// merge-queue jobs, retries, WAL group-commit syncs, and per-queue
-  /// IoEngine charges — each stamped with wall AND modeled time. Drain via
-  /// tracer() and export with obs::Tracer::ToChromeJson (Perfetto).
+  /// ingest ops, maintenance cycles and steps (seal, flush_build(<tree>),
+  /// install, merge, merge(<tree>)), retries, WAL group-commit syncs, and
+  /// per-queue IoEngine charges — each stamped with wall AND modeled time.
+  /// Drain via tracer() and export with obs::Tracer::ToChromeJson.
   size_t trace_buffer_bytes = 0;
 };
 
@@ -286,7 +289,6 @@ struct DatasetCatalog {
   Lsn bitmap_checkpoint_lsn = kInvalidLsn;
 };
 
-class MaintenanceScheduler;
 struct ConcurrentMergeStats;
 
 class Dataset {
@@ -453,11 +455,10 @@ class Dataset {
   /// The dataset-owned tracer; null unless trace_buffer_bytes > 0.
   obs::Tracer* tracer() const { return tracer_.get(); }
 
-  /// The maintenance engine; null on the fully serial path. Non-null does
-  /// NOT imply a parallel pool: with merge_queue_depth > 0 (and
-  /// writer_threads > 1) the scheduler is kept alive even at
-  /// maintenance_threads = 1 solely for its merge queues — gate engine
-  /// fan-out on engine_parallel(), never on this pointer.
+  /// The maintenance engine; always present. At maintenance_threads = 1 it
+  /// runs every task inline on the caller and starts no pool thread
+  /// (parallel() is false); merge drain workers start only with decoupled
+  /// merge scheduling.
   MaintenanceScheduler* maintenance() { return maintenance_.get(); }
 
   /// Total memory-component bytes across indexes (flush trigger input).
@@ -539,12 +540,8 @@ class Dataset {
   /// Decoupled merge scheduling is on: flush cycles enqueue merge work onto
   /// the scheduler's per-tree queues instead of running it inline.
   bool merge_queues_enabled() const {
-    return options_.merge_queue_depth > 0 && multi_writer() &&
-           maintenance_ != nullptr;
+    return options_.merge_queue_depth > 0 && multi_writer();
   }
-  /// True when the maintenance engine fans work out over a pool (a scheduler
-  /// kept solely for its merge queues still runs tasks inline/serially).
-  bool engine_parallel() const;
   /// Every index tree of the dataset (primary, pk, secondaries, deleted-key).
   std::vector<LsmTree*> AllTrees();
   /// Launches one background maintenance cycle if the budget is exceeded and
@@ -552,55 +549,93 @@ class Dataset {
   /// (skipped for threads holding an open explicit transaction — see
   /// CheckBudgetAndMaintain).
   Status MaintainAsync(bool in_explicit_txn);
-  /// One background cycle: seal (brief exclusive latch) -> build components
-  /// off-latch -> install (exclusive latch) -> merges (inline in coupled
-  /// mode; enqueued on the per-tree merge queues in decoupled mode).
+  /// One background cycle: SealAll (brief exclusive latch) -> BuildSealed
+  /// off-latch -> InstallBuilt (exclusive latch) -> the MergeJobs() list
+  /// (run through RunAll in coupled mode; enqueued on the per-tree merge
+  /// queues in decoupled mode).
   Status MaintenanceCycle();
   /// Joins only the in-flight flush cycle (not the merge queues): the
   /// decoupled pipeline's 2x-budget wait, bounded by flush time.
   Status JoinFlushCycle();
-  /// Decoupled mode: hands this cycle's merge work to the scheduler's
-  /// per-tree queues as one round (one job per tree / correlated group).
-  void EnqueueMergeWork();
-  /// Mutable-bitmap only: marks entries of the freshly flushed primary
-  /// component that are superseded by newer active-memtable writes (their
-  /// delete/upsert raced the sealed window). Caller holds the latch. The
-  /// superseding writes were recorded in pending_bitmap_fixups_ as they
-  /// happened (MutableBitmapUpsert found the old version in a *sealed*
-  /// memtable), so the fixup costs O(recorded deletes) B-tree probes rather
-  /// than O(|active memtable| log n) under the exclusive latch.
-  Status FixupFlushedBitmap() REQUIRES(ingest_mu_);
-  /// Records a seal-window superseding write for the next fixup.
+  /// Records a seal-window superseding write for the next install.
   void RecordBitmapFixup(const std::string& pk, Timestamp ts);
 
-  // dataset.cc
+  // --- Maintenance pipeline (dataset.cc) ------------------------------------
+  // One seal -> build -> install path and one merge-job list serve every
+  // mode (serial inline, pooled, decoupled queues); the modes differ only in
+  // where a job runs. Each step — one flush build, one install, one merge
+  // of one pick — runs through RunStep exactly once.
+
+  /// One sealed memtable of a flush round. `slot` is its tree's position in
+  /// the enumeration primary, pk, then each secondary and its deleted-key
+  /// tree (absent trees included); the build charges device queue
+  /// slot % queues, whichever thread runs it.
+  struct FlushJob {
+    LsmTree* tree;
+    std::shared_ptr<Memtable> mem;
+    uint32_t slot;
+    DiskComponentPtr built;
+    bool installed = false;
+  };
+  struct FlushRound {
+    std::vector<FlushJob> jobs;
+    Lsn flush_lsn = kInvalidLsn;
+  };
+  /// Seals every tree's memtable and collects every pending sealed one —
+  /// including those a failed build left behind (their re-flush path).
+  FlushRound SealAll() REQUIRES(ingest_mu_);
+  /// Builds every memtable of the round, one build step each, through
+  /// RunAll. Needs no latch. A failed build leaves its memtable sealed.
+  Status BuildSealed(FlushRound* round);
+  /// The install step: publishes every built component (all trees at once
+  /// w.r.t. ingestion, keeping the positional alignment correlated merges
+  /// and bitmap sharing rely on). Under Mutable-bitmap it shares each
+  /// primary component's bitmap with the pk component of the same memtable
+  /// generation and applies the recorded seal-window fixups. Counts the
+  /// flush. Safe to retry: installed components are skipped.
+  Status InstallBuilt(FlushRound* round) REQUIRES(ingest_mu_);
+  /// Deletes the files of the round's built-but-uninstalled components once
+  /// the round failed (their memtables stay sealed for the next round).
+  void DiscardUninstalled(FlushRound* round);
+  /// SealAll + BuildSealed + InstallBuilt under the caller's latch.
   Status FlushAllLocked() REQUIRES(ingest_mu_);
-  Status RunMerges();
-  Status ParallelMerges();
-  /// Correlated merge rounds (§4.4). `decoupled` = running as a merge-queue
-  /// job concurrent with flush installs: each round's range pick and
-  /// per-tree component slices are captured under a brief *shared* ingest
-  /// latch (installs hold it exclusively, so the positional alignment across
-  /// trees is consistent), and the merges install by identity, which
-  /// tolerates components prepended meanwhile.
-  Status CorrelatedMerge(bool decoupled = false);
-  /// Merge-repair merges for one secondary index until its policy is
-  /// satisfied (Validation strategy, §4.4). Shared by the serial and
-  /// parallel engines so their behavior cannot drift.
-  Status MergeRepairToPolicy(SecondaryIndex* index, uint64_t* merges,
-                             uint64_t* repairs);
-  /// Deleted-key merges for one secondary index until its policy is
-  /// satisfied (kDeletedKeyBtree, §4.1). `decoupled` = running as a
-  /// merge-queue job: picks are captured under a brief shared ingest latch
-  /// (see CorrelatedMerge).
-  Status DeletedKeyMergesToPolicy(SecondaryIndex* index, uint64_t* merges,
-                                  bool decoupled = false);
-  /// Strategy dispatch for one secondary index's non-correlated merges
-  /// (merge repair / deleted-key / plain). Shared by ParallelMerges and the
-  /// decoupled merge-queue jobs so their behavior cannot drift. Requires the
-  /// maintenance engine.
-  Status SecondaryMergesToPolicy(SecondaryIndex* index, uint64_t* merges,
-                                 uint64_t* repairs, bool decoupled);
+  /// Mutable-bitmap only: marks the entries of the freshly flushed primary
+  /// components `flushed` that newer writes superseded while they sat in a
+  /// sealed memtable. Those writes were recorded in pending_bitmap_fixups_
+  /// as they happened (MutableBitmapUpsert found the old version in a
+  /// *sealed* memtable), so the fixup costs O(recorded deletes x flushed
+  /// components) B-tree probes under the exclusive latch.
+  Status FixupFlushedBitmap(const std::vector<DiskComponentPtr>& flushed)
+      REQUIRES(ingest_mu_);
+
+  /// One job per serial merge stream: the correlated group, or one job per
+  /// tree / per secondary (with its merge-repair or deleted-key variant).
+  /// Each job keeps its tree's merge_pending_jobs() accounting.
+  std::vector<MaintenanceScheduler::MergeJob> MergeJobs();
+  /// Coupled mode: runs MergeJobs() through RunAll.
+  Status RunMergeJobs();
+  /// Decoupled mode: hands MergeJobs() to the merge queues as one round.
+  void EnqueueMergeRound();
+  /// Merges `tree` until its own policy is satisfied; one step per pick.
+  Status MergeToPolicy(LsmTree* tree);
+  /// Correlated merge rounds (§4.4): one pick of the anchor applies to every
+  /// index; per round, primary + pk merge first (their components must
+  /// exist before the bitmap re-share and before repair validates against
+  /// them), then the secondaries.
+  Status CorrelatedMerge();
+  /// Merge-repair merges of one secondary until its policy is satisfied
+  /// (Validation strategy, §4.4).
+  Status MergeRepairToPolicy(SecondaryIndex* index);
+  /// Deleted-key merges of one secondary until its policy is satisfied
+  /// (kDeletedKeyBtree, §4.1).
+  Status DeletedKeyMergesToPolicy(SecondaryIndex* index);
+  /// Runs `capture`, which slices several trees' component lists by
+  /// position, in one consistent view: under the shared ingest latch when
+  /// merges run off-latch beside flush installs (multi-writer; installs hold
+  /// the latch exclusively), bare on the serial path, whose caller holds the
+  /// latch exclusively already. Merges install by identity, which tolerates
+  /// components prepended after the capture.
+  Status CaptureAligned(const std::function<Status()>& capture);
   /// Evaluates the dataset-level tiering policy (merge_size_ratio /
   /// max_mergeable_bytes) over a component snapshot. Shared by the
   /// correlated and deleted-key pick paths so their policy cannot drift.
@@ -610,6 +645,17 @@ class Dataset {
                                  bool attach_bitmap, bool range_filter) const;
 
   // --- Robustness helpers (dataset.cc) --------------------------------------
+  /// The step executor: runs one maintenance step under trace span `span`,
+  /// consulting failpoint `site` before each attempt, retrying through
+  /// RunWithRetry(what), and recording the step's wall time into `hist`.
+  Status RunStep(const char* site, const std::string& span,
+                 const std::string& what, obs::Histogram* hist,
+                 const std::function<Status()>& fn);
+  /// RunStep for one merge of one pick.
+  Status MergeStep(const std::string& what, const std::function<Status()>& fn);
+  /// Records the wall time since `t0` into `h` (no-op when null).
+  static void RecordWall(obs::Histogram* h,
+                         std::chrono::steady_clock::time_point t0);
   /// Runs `fn` with bounded retry-on-transient: a Status::retryable() failure
   /// is re-run up to maintenance_retry_limit times with exponential backoff
   /// (retry_backoff_us, modeled + real); permanent errors and exhausted
@@ -652,7 +698,8 @@ class Dataset {
   obs::Histogram* hist_ingest_wall_ = nullptr;     ///< ingest.op_wall_ns
   obs::Histogram* hist_cycle_wall_ = nullptr;      ///< maintenance.cycle_wall_ns
   obs::Histogram* hist_flush_build_wall_ = nullptr;  ///< maintenance.flush_build_wall_ns
-  obs::Histogram* hist_merge_job_wall_ = nullptr;  ///< maintenance.merge_job_wall_ns
+  obs::Histogram* hist_install_wall_ = nullptr;    ///< maintenance.install_wall_ns
+  obs::Histogram* hist_merge_wall_ = nullptr;      ///< maintenance.merge_wall_ns
   StatCounter* ctr_cursor_open_ = nullptr;         ///< query.cursors_opened
   StatCounter* ctr_cursor_pull_ = nullptr;         ///< query.pages_pulled
 
@@ -666,8 +713,8 @@ class Dataset {
 
   // Seal-window delete side-list (Mutable-bitmap): writes that superseded an
   // old version sitting in a sealed memtable, keyed (pk, ts). Appended under
-  // the shared ingest latch; drained by FixupFlushedBitmap under the
-  // exclusive latch at install time.
+  // the shared ingest latch; drained by InstallBuilt under the exclusive
+  // latch.
   Mutex fixup_mu_{lockrank::kLeaf, "dataset.fixup"};
   std::vector<std::pair<std::string, Timestamp>> pending_bitmap_fixups_
       GUARDED_BY(fixup_mu_);

@@ -496,16 +496,8 @@ Status Dataset::CheckBudgetAndMaintain(bool in_explicit_txn) {
   obs::TraceSpan cycle_span(tracer_.get(), "maintenance.cycle", "maintenance");
   const auto cycle_wall0 = std::chrono::steady_clock::now();
   Status s = FlushAllLocked();
-  if (s.ok()) {
-    obs::TraceSpan merge_span(tracer_.get(), "merge", "maintenance");
-    s = RunMerges();
-  }
-  if (hist_cycle_wall_ != nullptr) {
-    hist_cycle_wall_->Record(uint64_t(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - cycle_wall0)
-            .count()));
-  }
+  if (s.ok()) s = RunMergeJobs();
+  RecordWall(hist_cycle_wall_, cycle_wall0);
   if (!s.ok()) {
     // Serial inline maintenance failed past its retry budget. The op that
     // tripped the budget check already committed (its WAL records are

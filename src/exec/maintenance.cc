@@ -244,23 +244,14 @@ Status MaintenanceScheduler::RunAll(
   return WaitAll(futures);
 }
 
-Status MaintenanceScheduler::MergeToPolicy(LsmTree* tree, uint64_t* merges) {
-  if (tree == nullptr) return Status::OK();
-  std::vector<DiskComponentPtr> picked;
-  while (tree->PickMergeCandidates(&picked)) {
-    AUXLSM_RETURN_NOT_OK(MergeComponents(tree, picked));
-    if (merges != nullptr) (*merges)++;
-  }
-  return Status::OK();
+Status MaintenanceScheduler::Failpoint(const char* site) const {
+  if (options_.fault == nullptr) return Status::OK();
+  return options_.fault->Hit(site, options_.io);
 }
 
 Status MaintenanceScheduler::MergeComponents(
     LsmTree* tree, const std::vector<DiskComponentPtr>& picked) {
   if (picked.empty()) return Status::OK();
-  if (options_.fault != nullptr) {
-    AUXLSM_RETURN_NOT_OK(
-        options_.fault->Hit(failpoints::kMerge, options_.io));
-  }
   uint64_t total_bytes = 0;
   for (const auto& c : picked) total_bytes += c->size_bytes();
   const size_t parts = partitions();

@@ -1,21 +1,34 @@
 // Background maintenance engine: runs the flushes and merges of a Dataset's
-// index trees concurrently on a ThreadPool (exec/thread_pool.h).
+// index trees, inline or concurrently on a ThreadPool (exec/thread_pool.h).
 //
 // Architecture / threading model of src/exec/:
 //
-//   Dataset (core/dataset.cc)                 MaintenanceScheduler
-//   ------------------------------            ----------------------------
-//   FlushAllLocked  ── tasks per tree ──────► RunAll: one flush per index
-//   RunMerges       ── tasks per tree ──────► RunAll: MergeToPolicy loops
-//   CorrelatedMerge ── tasks per round ─────► RunAll: ranged merges
-//                                             │
-//                                             ▼
-//                                       ThreadPool (N workers)
+//   Dataset (core/dataset.cc)                     MaintenanceScheduler
+//   ---------------------------------------       --------------------------
+//   SealAll      (exclusive latch)
+//   BuildSealed  one build step per memtable ───► RunAll ─┐
+//   InstallBuilt (exclusive latch, one step)              ├─ threads == 1:
+//   MergeJobs    one job per merge stream                 │  inline, in order
+//     coupled:   ─────────────────────────────► RunAll ─┤
+//     decoupled: ─────────────────────────────► EnqueueMergeRound
+//                                                  │      └─ threads > 1:
+//                                                  ▼         ThreadPool
+//                                      per-key FIFO merge queues,
+//                                      dedicated drain workers
 //
+//   - The dataset always owns a scheduler. Every mode — serial inline,
+//     pooled, decoupled queues — runs the same job list; the modes differ
+//     only in where a job runs. With threads == 1 RunAll runs tasks inline
+//     on the caller and no pool thread is ever started; merge drain workers
+//     start only when a merge round is first enqueued.
+//   - A job's steps (one flush build, one install, one merge of one pick)
+//     are wrapped by the dataset's step executor (Dataset::RunStep), which
+//     applies the failpoint (Failpoint below), the retry policy, the trace
+//     span and the wall histogram exactly once per step.
 //   - Work is fanned out at *tree* granularity: the primary, primary-key,
 //     secondary, and deleted-key trees flush and merge concurrently. Merges
 //     of one tree are never issued concurrently (per-tree serialization):
-//     each tree's merge loop runs inside a single task.
+//     each merge stream (one tree, or the correlated group) is one job.
 //   - A large merge of one tree may additionally be split into key-range
 //     partitions (MergeCursor lower/upper bounds); the partitions are
 //     scanned in parallel and the outputs stitched into one component by
@@ -24,32 +37,29 @@
 //     BufferCache (each internally synchronized; the BufferCache is
 //     lock-striped into shards), and each LsmTree's components_ list
 //     (guarded by its components_mu_). Dataset-level counters (IngestStats)
-//     are relaxed atomics (common/stat_counter.h): they are bumped from
-//     concurrent writer threads and the background ingestion pipeline, not
-//     just the coordinating thread.
+//     are relaxed atomics (common/stat_counter.h), bumped from any thread.
 //   - Queue affinity: when MaintenanceOptions::io names a multi-queue
 //     IoEngine, RunAll binds task i to device queue (i % queues) for the
-//     task's duration (IoQueueScope), so fanned-out flushes and partitioned
-//     merge scans charge independent queue clocks and genuinely overlap in
-//     *simulated* time, not just wall-clock. The mapping is by task index,
-//     not worker thread, so it is deterministic under work stealing and
-//     "helping", and it applies on the serial inline path too (modeled
-//     device concurrency does not require host concurrency). With a
-//     single-queue engine every binding resolves to queue 0 — bit-for-bit
-//     the legacy single-head charging.
+//     task's duration (IoQueueScope), so fanned-out tasks charge independent
+//     queue clocks and overlap in *simulated* time, not just wall-clock. The
+//     mapping is by task index, not worker thread, so it is deterministic
+//     under work stealing and "helping", and it applies on the inline path
+//     too (modeled device concurrency does not require host concurrency).
+//     A flush build rebinds itself to its tree's slot. With a single-queue
+//     engine every binding resolves to queue 0 — the legacy single-head
+//     charging.
 //   - Waits use "helping": a thread blocked on task futures runs queued
 //     tasks itself, so nested fan-out (merge loop inside a task spawning
 //     partition scans) cannot deadlock the fixed-size pool.
-//   - Decoupled merge scheduling (PR 5): EnqueueMergeRound hands merge work
-//     to per-tree FIFO queues drained by dedicated lazily-spawned drain
-//     workers — NOT the flush pool, so a long merge backlog can never starve
-//     the next flush cycle's fan-out. Jobs of one queue key run strictly
-//     serially (the per-tree merge serialization rule above); distinct keys
-//     drain concurrently. Each queue is bound to device queue
-//     (registration-index % io queues) for its jobs' duration, mirroring
-//     RunAll's task-index affinity. A *round* is the batch of jobs one flush
-//     cycle enqueues; PendingMergeRounds() counts rounds not yet fully
-//     retired and is the ingestion pipeline's bounded merge-backlog
+//   - Decoupled merge scheduling: EnqueueMergeRound hands merge jobs to
+//     per-key FIFO queues drained by dedicated lazily-spawned drain workers
+//     — NOT the flush pool, so a long merge backlog can never starve the
+//     next flush cycle's fan-out. Jobs of one queue key run strictly
+//     serially; distinct keys drain concurrently. Each queue is bound to
+//     device queue (registration-index % io queues) for its jobs' duration,
+//     mirroring RunAll's task-index affinity. A *round* is the batch of jobs
+//     one flush cycle enqueues; PendingMergeRounds() counts rounds not yet
+//     fully retired and is the ingestion pipeline's bounded merge-backlog
 //     backpressure signal. The first job error is sticky
 //     (merge_error / TakeMergeError) until explicitly taken.
 #pragma once
@@ -90,9 +100,9 @@ struct MaintenanceOptions {
   /// (i % queues). Null or single-queue = every task charges queue 0, the
   /// legacy single-head accounting.
   IoEngine* io = nullptr;
-  /// Optional fault injector (fault/fault_injector.h): MergeComponents hits
-  /// the "maintenance.merge" failpoint before any merge I/O. Null disables
-  /// (a pure branch — no behavior change).
+  /// Optional fault injector (fault/fault_injector.h) consulted by
+  /// Failpoint() once per maintenance step attempt. Null disables (a pure
+  /// branch — no behavior change).
   FaultInjector* fault = nullptr;
 };
 
@@ -119,10 +129,8 @@ class MaintenanceScheduler {
   /// the first non-OK status. All tasks run to completion either way.
   Status RunAll(std::vector<std::function<Status()>>&& tasks);
 
-  /// Repeatedly consults `tree`'s merge policy and merges until it is
-  /// satisfied, splitting large merges into key-range partitions. Adds the
-  /// number of merges run to *merges (may be null).
-  Status MergeToPolicy(LsmTree* tree, uint64_t* merges);
+  /// Consults the maintenance failpoint `site` (OK when no injector is set).
+  Status Failpoint(const char* site) const;
 
   /// One merge of `picked` into a single component, scanned as parallel
   /// key-range partitions when profitable, else delegated to

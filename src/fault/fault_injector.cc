@@ -9,7 +9,7 @@ namespace failpoints {
 std::vector<const char*> AllSites() {
   return {kEnvAppendPage, kEnvReadPage, kEnvDeleteFile,  kCacheMissFill,
           kIoSubmit,      kWalAppend,   kWalSync,        kFlushBuild,
-          kInstall,       kMerge,       kMergeJob,       kConcurrentBuild,
+          kInstall,       kMerge,       kConcurrentBuild,
           kCacheTupleInsert, kCacheTupleInvalidate,
           kServerDecodeFrame, kServerDispatch};
 }

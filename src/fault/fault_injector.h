@@ -49,7 +49,6 @@ inline constexpr const char* kWalSync = "wal.sync";
 inline constexpr const char* kFlushBuild = "maintenance.flush_build";
 inline constexpr const char* kInstall = "maintenance.install";
 inline constexpr const char* kMerge = "maintenance.merge";
-inline constexpr const char* kMergeJob = "maintenance.merge_job";
 inline constexpr const char* kConcurrentBuild = "maintenance.concurrent_build";
 /// Tuple-cache seams (cache/tuple_cache.h, PR 7). A fired insert fault
 /// drops the admission (the next read is a plain miss); a fired invalidate

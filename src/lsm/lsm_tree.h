@@ -167,9 +167,6 @@ class LsmTree {
   Status InstallFlushed(const std::shared_ptr<Memtable>& sealed,
                         DiskComponentPtr component);
 
-  /// Consults the merge policy; runs at most one merge. Sets *merged.
-  Status TryMerge(bool* merged);
-
   /// Consults the merge policy against the current component list; fills
   /// *picked with the chosen components (newest first) and returns true if a
   /// merge is warranted. Callers (e.g. the maintenance engine) may then run
@@ -222,11 +219,12 @@ class LsmTree {
   uint64_t TotalDiskBytes() const;
   size_t NumDiskComponents() const;
 
-  // --- Decoupled merge scheduling (exec/maintenance.h) -----------------------
-  /// Merge-pending accounting: jobs enqueued on this tree's merge queue and
-  /// not yet finished. Maintained by the Dataset's decoupled merge
-  /// scheduling (the queue itself serializes per-tree merges; this counter
-  /// is the observable backlog for backpressure diagnostics and tests).
+  // --- Merge-job accounting (exec/maintenance.h) -----------------------------
+  /// Merge-pending accounting: merge jobs created for this tree (inline, on
+  /// the pool, or queued on its merge queue) and not yet finished.
+  /// Maintained by the Dataset's merge-job list (the job runner serializes
+  /// per-tree merges; this counter is the observable backlog for
+  /// backpressure diagnostics and tests).
   void BeginQueuedMerge() {
     merge_pending_jobs_.fetch_add(1, std::memory_order_relaxed);
   }

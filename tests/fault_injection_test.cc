@@ -9,11 +9,15 @@
 // faults self-heal inside the retry budget, retry exhaustion degrades the
 // dataset to read-only until TakeBackgroundError() clears it, delays charge
 // the modeled clock, and an armed injector that never fires changes nothing.
+// Every test that runs maintenance on the coupled engine sweeps
+// maintenance_threads explicitly (1 = inline engine, 4 = pooled engine)
+// instead of inheriting the host's hardware concurrency.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "common/random.h"
 #include "core/dataset.h"
@@ -33,9 +37,11 @@ EnvOptions TestEnv(FaultInjector* fault) {
   return o;
 }
 
-DatasetOptions Opts(MaintenanceStrategy s, FaultInjector* fault) {
+DatasetOptions Opts(MaintenanceStrategy s, FaultInjector* fault,
+                    size_t maintenance_threads = 1) {
   DatasetOptions o;
   o.strategy = s;
+  o.maintenance_threads = maintenance_threads;
   o.mem_budget_bytes = 48 << 10;  // frequent flushes and merges
   o.max_mergeable_bytes = 1 << 20;
   if (s == MaintenanceStrategy::kValidation) o.merge_repair = true;
@@ -90,15 +96,21 @@ void ValidateRecovered(Dataset* ds,
   EXPECT_EQ(got, expected) << trace;
 }
 
-class FaultMatrixTest : public ::testing::TestWithParam<MaintenanceStrategy> {
+class FaultMatrixTest
+    : public ::testing::TestWithParam<std::tuple<MaintenanceStrategy, size_t>> {
  protected:
+  DatasetOptions MatrixOpts(FaultInjector* fault) const {
+    return Opts(std::get<0>(GetParam()), fault, std::get<1>(GetParam()));
+  }
+
   // One matrix cell: warm up un-faulted, arm `site` with `spec`, run a
   // chaos workload tolerating injected errors (every errored op is excluded
   // from the model), then crash-recover and validate the committed state.
   void RunCase(const char* site, const FaultSpec& spec) {
     const std::string trace =
         std::string("site=") + site + " strategy=" +
-        StrategyName(GetParam());
+        StrategyName(std::get<0>(GetParam())) +
+        " threads=" + std::to_string(std::get<1>(GetParam()));
     SCOPED_TRACE(trace);
     const uint64_t salt = std::hash<std::string>{}(site) % 1000;
     FaultInjector fault(7 + salt);
@@ -109,7 +121,7 @@ class FaultMatrixTest : public ::testing::TestWithParam<MaintenanceStrategy> {
     uint64_t time = 0;
     DatasetCatalog catalog;
     {
-      Dataset ds(&env, Opts(GetParam(), &fault));
+      Dataset ds(&env, MatrixOpts(&fault));
       // Warm up with the injector quiet so disk components (and bitmaps /
       // deleted-key trees) exist before the site arms.
       for (int step = 0; step < 250; step++) {
@@ -180,7 +192,7 @@ class FaultMatrixTest : public ::testing::TestWithParam<MaintenanceStrategy> {
 
     RecoveryStats stats;
     auto recovered = Dataset::Recover(&env, &durable_wal, catalog,
-                                      Opts(GetParam(), &fault), &stats);
+                                      MatrixOpts(&fault), &stats);
     ASSERT_TRUE(recovered.ok()) << trace << ": "
                                 << recovered.status().ToString();
     Dataset* ds = recovered->get();
@@ -220,28 +232,43 @@ TEST_P(FaultMatrixTest, CrashAtEverySiteRecoversCommittedState) {
   }
 }
 
+const auto kAllStrategies = ::testing::Values(
+    MaintenanceStrategy::kEager, MaintenanceStrategy::kValidation,
+    MaintenanceStrategy::kMutableBitmap, MaintenanceStrategy::kDeletedKeyBtree);
+
+std::string StrategyParamName(MaintenanceStrategy s) {
+  std::string name = StrategyName(s);
+  for (auto& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name;
+}
+
+// maintenance_threads values every engine-sensitive test runs at.
+const auto kMaintenanceThreads = ::testing::Values(size_t(1), size_t(4));
+
+std::string ThreadsParamName(const ::testing::TestParamInfo<size_t>& info) {
+  return "threads" + std::to_string(info.param);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, FaultMatrixTest,
-    ::testing::Values(MaintenanceStrategy::kEager,
-                      MaintenanceStrategy::kValidation,
-                      MaintenanceStrategy::kMutableBitmap,
-                      MaintenanceStrategy::kDeletedKeyBtree),
-    [](const ::testing::TestParamInfo<MaintenanceStrategy>& info) {
-      std::string name = StrategyName(info.param);
-      for (auto& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
+    ::testing::Combine(kAllStrategies, kMaintenanceThreads),
+    [](const ::testing::TestParamInfo<FaultMatrixTest::ParamType>& info) {
+      return StrategyParamName(std::get<0>(info.param)) + "_threads" +
+             std::to_string(std::get<1>(info.param));
     });
 
 // A low-rate transient write fault on the page-append seam: every failure
 // lands inside a retry-wrapped maintenance step, so with an adequate retry
 // budget NO error ever surfaces to the workload and the dataset stays
 // healthy. The MaintenanceStats counters must show the absorbed failures.
-TEST(FaultSelfHealingTest, TransientWriteFaultsAbsorbedByRetries) {
+class FaultSelfHealingTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(FaultSelfHealingTest, TransientWriteFaultsAbsorbedByRetries) {
   FaultInjector fault(99);
   Env env(TestEnv(&fault));
-  DatasetOptions o = Opts(MaintenanceStrategy::kEager, &fault);
+  DatasetOptions o = Opts(MaintenanceStrategy::kEager, &fault, GetParam());
   o.maintenance_retry_limit = 6;
   Dataset ds(&env, o);
   std::map<uint64_t, TweetRecord> model;
@@ -277,15 +304,191 @@ TEST(FaultSelfHealingTest, TransientWriteFaultsAbsorbedByRetries) {
   ValidateRecovered(&ds, model, "self-healing");
 }
 
+INSTANTIATE_TEST_SUITE_P(MaintenanceThreads, FaultSelfHealingTest,
+                         kMaintenanceThreads, ThreadsParamName);
+
+// Every maintenance step — here every merge of one pick, whichever merge
+// variant the strategy uses — is wrapped by the retry policy exactly once,
+// on every engine mode. With maintenance.merge failing on every hit, each
+// attempt fires once and counts one transient failure, and each abandoned
+// step took exactly limit + 1 attempts. A retry nested inside another would
+// multiply the fires per abandoned step.
+struct EngineMode {
+  const char* name;
+  size_t writer_threads;
+  size_t maintenance_threads;
+  size_t merge_queue_depth;
+};
+
+void PrintTo(const EngineMode& m, std::ostream* os) { *os << m.name; }
+
+class StepRetryTest : public ::testing::TestWithParam<
+                          std::tuple<MaintenanceStrategy, EngineMode>> {};
+
+TEST_P(StepRetryTest, EachMergeStepRetriesExactlyOnce) {
+  const auto [strategy, mode] = GetParam();
+  FaultInjector fault(21);
+  Env env(TestEnv(&fault));
+  DatasetOptions o = Opts(strategy, &fault, mode.maintenance_threads);
+  o.writer_threads = mode.writer_threads;
+  o.merge_queue_depth = mode.merge_queue_depth;
+  o.mem_budget_bytes = 24 << 10;
+  Dataset ds(&env, o);
+  fault.Arm(failpoints::kMerge,
+            FaultSpec::Error(Status::IOError("merge device down"), 1.0));
+  Random rng(77);
+  uint64_t time = 0;
+  for (int step = 0; step < 1500; step++) {
+    const uint64_t id = 1 + rng.Uniform(kKeySpace);
+    const Status st =
+        rng.Bernoulli(0.8)
+            ? ds.Upsert(MakeTweet(id, rng.Uniform(kUserSpace), ++time))
+            : ds.Delete(id);
+    if (!st.ok()) {
+      // Degraded by an abandoned merge: take both sticky error classes.
+      ds.TakeBackgroundError();
+      ds.TakeBackgroundError();
+    }
+  }
+  ds.WaitForMaintenance();
+  fault.DisarmAll();
+
+  const uint64_t fires = fault.site_stats(failpoints::kMerge).fires;
+  const MaintenanceStats& ms = ds.maintenance_stats();
+  ASSERT_GT(fires, 0u) << "workload never reached a merge";
+  EXPECT_EQ(ms.transient_failures.load(), fires);
+  EXPECT_EQ(fires,
+            (o.maintenance_retry_limit + 1) * ms.rounds_abandoned.load());
+  EXPECT_EQ(ms.retries_succeeded.load(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModes, StepRetryTest,
+    ::testing::Combine(kAllStrategies,
+                       ::testing::Values(EngineMode{"serial", 1, 1, 0},
+                                         EngineMode{"coupled", 1, 4, 0},
+                                         EngineMode{"decoupled", 2, 2, 2})),
+    [](const ::testing::TestParamInfo<StepRetryTest::ParamType>& info) {
+      return StrategyParamName(std::get<0>(info.param)) + "_" +
+             std::get<1>(info.param).name;
+    });
+
+// A flush round abandoned after some of its builds succeeded (a failed
+// build) or after all of them (a failed install) deletes the files it built:
+// the memtables stay sealed and the next round rebuilds them, so the store
+// ends with exactly the pages of an unfaulted run.
+class AbandonedFlushRoundTest
+    : public ::testing::TestWithParam<std::tuple<const char*, size_t>> {};
+
+TEST_P(AbandonedFlushRoundTest, LeavesNoOrphanPages) {
+  const size_t threads = std::get<1>(GetParam());
+  auto pages_after_flush = [threads](const char* site) {
+    FaultInjector fault(9);
+    Env env(TestEnv(&fault));
+    DatasetOptions o = Opts(MaintenanceStrategy::kEager, &fault, threads);
+    o.mem_budget_bytes = 8 << 20;  // only the explicit FlushAll calls flush
+    o.maintenance_retry_limit = 0;
+    Dataset ds(&env, o);
+    for (uint64_t id = 1; id <= 300; id++) {
+      EXPECT_TRUE(ds.Upsert(MakeTweet(id, id % 7, id)).ok());
+    }
+    if (site != nullptr) {
+      // A round consults the install site once; the second build hit fails
+      // after the first tree built.
+      const uint64_t nth = std::string(site) == failpoints::kInstall ? 1 : 2;
+      fault.Arm(site, FaultSpec::ErrorNth(Status::IOError("x"), nth));
+      EXPECT_FALSE(ds.FlushAll().ok());
+      fault.DisarmAll();
+      ds.TakeBackgroundError();
+    }
+    EXPECT_TRUE(ds.FlushAll().ok());
+    EXPECT_EQ(ds.num_records(), 300u);
+    return env.store()->TotalPages();
+  };
+  EXPECT_EQ(pages_after_flush(std::get<0>(GetParam())),
+            pages_after_flush(nullptr));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sites, AbandonedFlushRoundTest,
+    ::testing::Combine(::testing::Values(failpoints::kFlushBuild,
+                                         failpoints::kInstall),
+                       kMaintenanceThreads),
+    [](const ::testing::TestParamInfo<AbandonedFlushRoundTest::ParamType>&
+           info) {
+      const std::string site = std::get<0>(info.param);
+      return (site == failpoints::kFlushBuild ? "build" : "install") +
+             std::string("_threads") + std::to_string(std::get<1>(info.param));
+    });
+
+// Mutable-bitmap install after a failed flush build: the failed build leaves
+// its sealed memtables behind, so the next flush installs two generations
+// per tree in one round. Deletes whose old version sat in the left-behind
+// memtable must be marked in the component built from it, and the pk-index
+// component of that generation must share its primary's bitmap, or a later
+// delete cannot mark it. The §5 per-component scan then agrees with the
+// reconciled record count.
+class FailedBuildBitmapTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(FailedBuildBitmapTest, InstallMarksEveryFlushedGeneration) {
+  FaultInjector fault(13);
+  Env env(TestEnv(&fault));
+  DatasetOptions o = Opts(MaintenanceStrategy::kMutableBitmap, &fault);
+  o.writer_threads = GetParam();
+  o.mem_budget_bytes = 8 << 20;  // only the explicit FlushAll calls flush
+  o.tuple_cache_bytes = 0;
+  Dataset ds(&env, o);
+  uint64_t time = 0;
+  auto scan_count = [&]() {
+    ScanResult scan;
+    EXPECT_TRUE(ds.ScanTimeRange(0, UINT64_MAX, &scan).ok());
+    return scan.records_matched;
+  };
+  for (uint64_t id = 1; id <= 100; id++) {
+    ASSERT_TRUE(ds.Upsert(MakeTweet(id, id % 5, ++time)).ok());
+  }
+  ASSERT_TRUE(ds.FlushAll().ok());
+  for (uint64_t id = 101; id <= 200; id++) {
+    ASSERT_TRUE(ds.Upsert(MakeTweet(id, id % 5, ++time)).ok());
+  }
+  fault.Arm(failpoints::kFlushBuild,
+            FaultSpec::Error(Status::IOError("build device down"), 1.0));
+  ASSERT_FALSE(ds.FlushAll().ok());
+  fault.DisarmAll();
+  ds.TakeBackgroundError();
+  ds.TakeBackgroundError();
+
+  // Old versions in the left-behind sealed memtable.
+  for (uint64_t id = 101; id <= 110; id++) ASSERT_TRUE(ds.Delete(id).ok());
+  ASSERT_TRUE(ds.FlushAll().ok());
+  EXPECT_EQ(ds.num_records(), 190u);
+  EXPECT_EQ(scan_count(), ds.num_records());
+
+  // Old versions now in the left-behind generation's disk components.
+  for (uint64_t id = 111; id <= 120; id++) ASSERT_TRUE(ds.Delete(id).ok());
+  EXPECT_EQ(ds.num_records(), 180u);
+  EXPECT_EQ(scan_count(), ds.num_records());
+  ASSERT_TRUE(ds.FlushAll().ok());
+  EXPECT_EQ(scan_count(), ds.num_records());
+}
+
+INSTANTIATE_TEST_SUITE_P(WriterThreads, FailedBuildBitmapTest,
+                         ::testing::Values(size_t(1), size_t(2)),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return "writers" + std::to_string(info.param);
+                         });
+
 // Retry-budget exhaustion: a persistent transient fault on flush builds
 // degrades the dataset to read-only. Ingest fails fast with the sticky
 // error, reads keep serving, and clearing the error via
 // TakeBackgroundError() re-arms the pipeline — including re-flushing the
 // sealed memtables the failed builds left behind.
-TEST(DegradedModeTest, RetryExhaustionDegradesThenClears) {
+class DegradedModeTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(DegradedModeTest, RetryExhaustionDegradesThenClears) {
   FaultInjector fault(3);
   Env env(TestEnv(&fault));
-  DatasetOptions o = Opts(MaintenanceStrategy::kEager, &fault);
+  DatasetOptions o = Opts(MaintenanceStrategy::kEager, &fault, GetParam());
   o.mem_budget_bytes = 8 << 10;
   o.maintenance_retry_limit = 2;
   Dataset ds(&env, o);
@@ -344,10 +547,10 @@ TEST(DegradedModeTest, RetryExhaustionDegradesThenClears) {
 // Permanent errors never retry: a Corruption from a flush build is returned
 // immediately with the step's context attached, and the retry counters stay
 // untouched. Disarming and re-flushing recovers the stranded data.
-TEST(DegradedModeTest, PermanentErrorsAbandonWithoutRetry) {
+TEST_P(DegradedModeTest, PermanentErrorsAbandonWithoutRetry) {
   FaultInjector fault(5);
   Env env(TestEnv(&fault));
-  Dataset ds(&env, Opts(MaintenanceStrategy::kEager, &fault));
+  Dataset ds(&env, Opts(MaintenanceStrategy::kEager, &fault, GetParam()));
   uint64_t time = 0;
   for (uint64_t id = 1; id <= 80; id++) {
     ASSERT_TRUE(ds.Upsert(MakeTweet(id, id % 5, ++time)).ok());
@@ -373,13 +576,18 @@ TEST(DegradedModeTest, PermanentErrorsAbandonWithoutRetry) {
   EXPECT_EQ(ds.num_records(), 80u);
 }
 
+INSTANTIATE_TEST_SUITE_P(MaintenanceThreads, DegradedModeTest,
+                         kMaintenanceThreads, ThreadsParamName);
+
 // kDelay faults charge the site's modeled device clock instead of failing:
 // the simulated critical path must grow by at least the injected delay while
 // the workload itself sees no errors.
-TEST(FaultActionsTest, DelayFaultChargesModeledClock) {
+class FaultActionsTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(FaultActionsTest, DelayFaultChargesModeledClock) {
   FaultInjector fault(7);
   Env env(TestEnv(&fault));
-  Dataset ds(&env, Opts(MaintenanceStrategy::kEager, &fault));
+  Dataset ds(&env, Opts(MaintenanceStrategy::kEager, &fault, GetParam()));
   uint64_t time = 0;
   for (uint64_t id = 1; id <= 40; id++) {
     ASSERT_TRUE(ds.Upsert(MakeTweet(id, id % 5, ++time)).ok());
@@ -390,6 +598,9 @@ TEST(FaultActionsTest, DelayFaultChargesModeledClock) {
   EXPECT_GE(env.io()->critical_path_us() - before, 2500.0);
   EXPECT_GT(fault.site_stats(failpoints::kFlushBuild).fires, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(MaintenanceThreads, FaultActionsTest,
+                         kMaintenanceThreads, ThreadsParamName);
 
 // Parity contract: an armed injector whose sites never fire (probability 0)
 // must change nothing — same record count, same flush/merge counts, same
@@ -405,9 +616,9 @@ struct RunFingerprint {
   double io_us = 0;
 };
 
-RunFingerprint RunParityWorkload(FaultInjector* fault) {
+RunFingerprint RunParityWorkload(FaultInjector* fault, size_t threads) {
   Env env(TestEnv(fault));
-  Dataset ds(&env, Opts(MaintenanceStrategy::kMutableBitmap, fault));
+  Dataset ds(&env, Opts(MaintenanceStrategy::kMutableBitmap, fault, threads));
   Random rng(555);
   uint64_t time = 0;
   for (int step = 0; step < 1200; step++) {
@@ -443,14 +654,16 @@ RunFingerprint RunParityWorkload(FaultInjector* fault) {
   return fp;
 }
 
-TEST(FaultParityTest, ArmedInjectorThatNeverFiresChangesNothing) {
-  const RunFingerprint base = RunParityWorkload(nullptr);
+class FaultParityTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(FaultParityTest, ArmedInjectorThatNeverFiresChangesNothing) {
+  const RunFingerprint base = RunParityWorkload(nullptr, GetParam());
 
   FaultInjector fault(1);
   for (const char* site : failpoints::AllSites()) {
     fault.Arm(site, FaultSpec::Error(Status::IOError("never fires"), 0.0));
   }
-  const RunFingerprint armed = RunParityWorkload(&fault);
+  const RunFingerprint armed = RunParityWorkload(&fault, GetParam());
 
   EXPECT_EQ(armed.records, base.records);
   EXPECT_EQ(armed.flushes, base.flushes);
@@ -465,6 +678,9 @@ TEST(FaultParityTest, ArmedInjectorThatNeverFiresChangesNothing) {
   EXPECT_GT(fault.site_stats(failpoints::kCacheTupleInsert).hits, 0u);
   EXPECT_GT(fault.site_stats(failpoints::kCacheTupleInvalidate).hits, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(MaintenanceThreads, FaultParityTest,
+                         kMaintenanceThreads, ThreadsParamName);
 
 }  // namespace
 }  // namespace auxlsm

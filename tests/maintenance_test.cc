@@ -77,8 +77,11 @@ TEST_P(MaintenanceParityTest, ParallelEngineMatchesSerialEngine) {
   const MaintenanceStrategy strategy = GetParam();
   Env serial_env(TestEnv());
   Dataset serial(&serial_env, BaseOptions(strategy, 1));
-  EXPECT_EQ(serial.maintenance(), nullptr);
+  // The scheduler always exists; the serial engine runs every task inline
+  // and never starts a pool.
+  EXPECT_FALSE(serial.maintenance()->parallel());
   RunWorkload(&serial, 3000);
+  EXPECT_EQ(serial.maintenance()->PoolQueueDepth(), 0u);
 
   Env parallel_env(TestEnv(/*cache_shards=*/8));
   Dataset parallel(&parallel_env, BaseOptions(strategy, 4));
